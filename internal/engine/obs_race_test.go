@@ -14,6 +14,7 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 
 	"arams/internal/engine"
 	"arams/internal/imgproc"
@@ -37,6 +38,7 @@ func testImages(n, side int, seed uint64) []*imgproc.Image {
 }
 
 func TestEngineObsScrapeHammer(t *testing.T) {
+	began := time.Now()
 	e := engine.New(engine.Config{
 		Shards:         4,
 		ReconcileEvery: 4,
@@ -90,17 +92,19 @@ func TestEngineObsScrapeHammer(t *testing.T) {
 	if got := e.Ingested(); got != batches*batchLen {
 		t.Fatalf("ingested %d, want %d", got, batches*batchLen)
 	}
-	assertConnectedIngestTrace(t, 4)
+	assertConnectedIngestTrace(t, began, 4)
 }
 
 // assertConnectedIngestTrace scans the default registry for retained
-// ingest_batch traces and requires at least one to be a fully
-// connected tree containing the preprocess and per-shard sketch legs.
-func assertConnectedIngestTrace(t *testing.T, shards int) {
+// ingest_batch traces that started at or after began and requires at
+// least one to be a fully connected tree containing the preprocess and
+// per-shard sketch legs. The registry is process-wide, so traces from
+// earlier tests in the package (other shard counts) are skipped.
+func assertConnectedIngestTrace(t *testing.T, began time.Time, shards int) {
 	t.Helper()
 	var checked int
 	for _, tr := range obs.Default().Traces() {
-		if tr.Root != "ingest_batch" {
+		if tr.Root != "ingest_batch" || tr.Start.Before(began) {
 			continue
 		}
 		byID := make(map[obs.ID]obs.SpanRecord, len(tr.Spans))

@@ -317,6 +317,11 @@ func (p Preprocessor) applySteps(out *Image) *Image {
 	return out
 }
 
+// Reshapes reports whether the chain replaces the working image
+// (Center, Bin), in which case ApplyVec's result never aliases the
+// buffer it was given.
+func (p Preprocessor) Reshapes() bool { return p.Center || p.BinFactor > 1 }
+
 // ApplyVec runs the chain and returns the preprocessed frame as a
 // feature vector ready for the sketch to adopt — the zero-copy form of
 // Apply(im).Flatten() for the streaming ingest hot path. The working
@@ -340,21 +345,4 @@ func (p Preprocessor) ApplyVec(im *Image, buf []float64) []float64 {
 		mat.PutVec(buf)
 	}
 	return out.Pix
-}
-
-// ToMatrix flattens a batch of equal-size images into an n×(W·H) data
-// matrix, copying pixels.
-func ToMatrix(imgs []*Image) *mat.Matrix {
-	if len(imgs) == 0 {
-		return mat.New(0, 0)
-	}
-	d := imgs[0].W * imgs[0].H
-	out := mat.New(len(imgs), d)
-	for i, im := range imgs {
-		if im.W*im.H != d {
-			panic("imgproc: ToMatrix images differ in size")
-		}
-		copy(out.Row(i), im.Pix)
-	}
-	return out
 }

@@ -215,18 +215,3 @@ func TestPreprocessorChain(t *testing.T) {
 		t.Fatal("Apply mutated its input")
 	}
 }
-
-func TestToMatrix(t *testing.T) {
-	a := gaussian(4, 4, 2, 2, 1, 1)
-	b := gaussian(4, 4, 1, 1, 1, 1)
-	m := ToMatrix([]*Image{a, b})
-	if r, c := m.Dims(); r != 2 || c != 16 {
-		t.Fatalf("matrix shape %d×%d", r, c)
-	}
-	if m.At(0, 5) != a.Pix[5] || m.At(1, 7) != b.Pix[7] {
-		t.Fatal("matrix contents wrong")
-	}
-	if e := ToMatrix(nil); e.RowsN != 0 {
-		t.Fatal("empty batch should give empty matrix")
-	}
-}

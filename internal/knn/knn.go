@@ -7,7 +7,6 @@
 package knn
 
 import (
-	"container/heap"
 	"math"
 	"runtime"
 	"sort"
@@ -31,18 +30,56 @@ type Graph struct {
 }
 
 // maxHeap over neighbor distances, used to keep the k best candidates.
+// The sift operations are typed (no interface boxing per push) and
+// follow container/heap's algorithm step for step, NaN comparisons
+// included, so the heap keeps exactly the candidates it always kept.
 type maxHeap []Neighbor
 
-func (h maxHeap) Len() int            { return len(h) }
-func (h maxHeap) Less(i, j int) bool  { return h[i].Dist > h[j].Dist }
-func (h maxHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *maxHeap) Push(x interface{}) { *h = append(*h, x.(Neighbor)) }
-func (h *maxHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	item := old[n-1]
-	*h = old[:n-1]
-	return item
+// push adds nb and restores the heap order.
+func (h *maxHeap) push(nb Neighbor) {
+	*h = append(*h, nb)
+	s := *h
+	for j := len(s) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !(s[j].Dist > s[i].Dist) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+}
+
+// replaceTop overwrites the farthest candidate with nb.
+func (h maxHeap) replaceTop(nb Neighbor) {
+	h[0] = nb
+	h.down(0, len(h))
+}
+
+// down sifts element i toward the leaves of h[:n].
+func (h maxHeap) down(i, n int) {
+	for {
+		j := 2*i + 1
+		if j >= n {
+			return
+		}
+		if r := j + 1; r < n && h[r].Dist > h[j].Dist {
+			j = r
+		}
+		if !(h[j].Dist > h[i].Dist) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+}
+
+// sortAscending drains the heap in place (heapsort), leaving h ordered
+// by ascending distance.
+func (h maxHeap) sortAscending() {
+	for n := len(h) - 1; n > 0; n-- {
+		h[0], h[n] = h[n], h[0]
+		h.down(0, n)
+	}
 }
 
 // Distance returns the Euclidean distance between rows i and j of x.
@@ -95,10 +132,9 @@ func BruteForce(x *mat.Matrix, k int) *Graph {
 					}
 					d := DistSq(xi, x.Row(j))
 					if len(h) < k {
-						heap.Push(&h, Neighbor{Index: j, Dist: d})
+						h.push(Neighbor{Index: j, Dist: d})
 					} else if d < h[0].Dist {
-						h[0] = Neighbor{Index: j, Dist: d}
-						heap.Fix(&h, 0)
+						h.replaceTop(Neighbor{Index: j, Dist: d})
 					}
 				}
 				nb := make([]Neighbor, len(h))
@@ -186,12 +222,10 @@ func (t *VPTree) KNearest(query []float64, k int, excludeIndex int) []Neighbor {
 	if k <= 0 {
 		return nil
 	}
-	h := make(maxHeap, 0, k+1)
+	h := make(maxHeap, 0, k)
 	t.search(t.root, query, k, excludeIndex, &h)
-	out := make([]Neighbor, len(h))
-	copy(out, h)
-	sort.Slice(out, func(a, b int) bool { return out[a].Dist < out[b].Dist })
-	return out
+	h.sortAscending()
+	return h
 }
 
 func (t *VPTree) search(node *vpNode, query []float64, k, exclude int, h *maxHeap) {
@@ -200,20 +234,19 @@ func (t *VPTree) search(node *vpNode, query []float64, k, exclude int, h *maxHea
 	}
 	d := math.Sqrt(DistSq(query, t.x.Row(node.index)))
 	if node.index != exclude {
-		if h.Len() < k {
-			heap.Push(h, Neighbor{Index: node.index, Dist: d})
+		if len(*h) < k {
+			h.push(Neighbor{Index: node.index, Dist: d})
 		} else if d < (*h)[0].Dist {
-			(*h)[0] = Neighbor{Index: node.index, Dist: d}
-			heap.Fix(h, 0)
+			h.replaceTop(Neighbor{Index: node.index, Dist: d})
 		}
 	}
 	tau := math.Inf(1)
-	if h.Len() == k {
+	if len(*h) == k {
 		tau = (*h)[0].Dist
 	}
 	if d < node.radius {
 		t.search(node.inside, query, k, exclude, h)
-		if h.Len() == k {
+		if len(*h) == k {
 			tau = (*h)[0].Dist
 		}
 		if d+tau >= node.radius {
@@ -221,7 +254,7 @@ func (t *VPTree) search(node *vpNode, query []float64, k, exclude int, h *maxHea
 		}
 	} else {
 		t.search(node.beyond, query, k, exclude, h)
-		if h.Len() == k {
+		if len(*h) == k {
 			tau = (*h)[0].Dist
 		}
 		if d-tau <= node.radius {

@@ -100,7 +100,13 @@ func (r *Run) WriteTo(w io.Writer) (int64, error) {
 	return n, bw.Flush()
 }
 
-// ReadRun deserializes a run written by WriteTo.
+// decodeChunk bounds the byte buffer ReadRun decodes pixels through.
+const decodeChunk = 64 << 10
+
+// ReadRun deserializes a run written by WriteTo. Pixels are read in
+// bounded chunks and each frame's pixel slice grows only as its bytes
+// arrive, so a header claiming huge frames costs no more memory than
+// the bytes actually present.
 func ReadRun(rd io.Reader) (*Run, error) {
 	br := bufio.NewReader(rd)
 	read := func(v interface{}) error { return binary.Read(br, binary.LittleEndian, v) }
@@ -144,17 +150,18 @@ func ReadRun(rd io.Reader) (*Run, error) {
 	if r.Detector, err = readStr(); err != nil {
 		return nil, err
 	}
-	if err = read(&tmp); err != nil {
+	var w, h int64
+	if err = read(&w); err != nil {
 		return nil, err
 	}
-	r.Width = int(tmp)
-	if err = read(&tmp); err != nil {
+	if err = read(&h); err != nil {
 		return nil, err
 	}
-	r.Height = int(tmp)
-	if r.Width < 0 || r.Height < 0 || r.Width*r.Height > 1<<28 {
-		return nil, fmt.Errorf("lcls: implausible frame size %d×%d", r.Width, r.Height)
+	// Bound each side before multiplying so the product cannot wrap.
+	if w < 0 || h < 0 || w > 1<<28 || h > 1<<28 || w*h > 1<<28 {
+		return nil, fmt.Errorf("lcls: implausible frame size %d×%d", w, h)
 	}
+	r.Width, r.Height = int(w), int(h)
 	var count int64
 	if err = read(&count); err != nil {
 		return nil, err
@@ -162,20 +169,24 @@ func ReadRun(rd io.Reader) (*Run, error) {
 	if count < 0 || count > 1<<24 {
 		return nil, fmt.Errorf("lcls: implausible frame count %d", count)
 	}
+	npix := r.Width * r.Height
+	chunk := make([]byte, 8*min(npix, decodeChunk/8))
 	for i := int64(0); i < count; i++ {
 		var label int64
 		if err = read(&label); err != nil {
 			return nil, err
 		}
-		im := imgproc.NewImage(r.Width, r.Height)
-		for p := range im.Pix {
-			var bits uint64
-			if err = read(&bits); err != nil {
+		pix := make([]float64, 0, len(chunk)/8)
+		for len(pix) < npix {
+			b := chunk[:8*min(npix-len(pix), len(chunk)/8)]
+			if _, err = io.ReadFull(br, b); err != nil {
 				return nil, err
 			}
-			im.Pix[p] = math.Float64frombits(bits)
+			for ; len(b) >= 8; b = b[8:] {
+				pix = append(pix, math.Float64frombits(binary.LittleEndian.Uint64(b)))
+			}
 		}
-		r.Frames = append(r.Frames, im)
+		r.Frames = append(r.Frames, &imgproc.Image{W: r.Width, H: r.Height, Pix: pix})
 		r.Labels = append(r.Labels, int(label))
 	}
 	return r, nil

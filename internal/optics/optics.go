@@ -6,7 +6,6 @@
 package optics
 
 import (
-	"container/heap"
 	"math"
 
 	"arams/internal/knn"
@@ -28,6 +27,15 @@ type Result struct {
 // Run computes the OPTICS ordering of the rows of x with the given
 // minPts and generating radius maxEps (use math.Inf(1) for unbounded,
 // as the paper's visual analysis does).
+//
+// This is exact dense OPTICS: each processed point computes its
+// distance row once, takes its core distance from the minPts−1
+// smallest in-range distances, and relaxes reachability in a flat
+// array. The next point is the unprocessed one with the smallest
+// finite (reachability, index) — exactly the seed list of the
+// classical formulation, since every expansion drains its seeds before
+// the outer loop moves on. O(n²·dim) time, O(n) memory, no allocation
+// per point.
 func Run(x *mat.Matrix, minPts int, maxEps float64) *Result {
 	n := x.RowsN
 	if minPts < 2 {
@@ -38,144 +46,86 @@ func Run(x *mat.Matrix, minPts int, maxEps float64) *Result {
 		Reachability: make([]float64, n),
 		CoreDist:     make([]float64, n),
 	}
-	for i := range res.Reachability {
-		res.Reachability[i] = math.Inf(1)
+	reach := res.Reachability
+	for i := range reach {
+		reach[i] = math.Inf(1)
 		res.CoreDist[i] = math.Inf(1)
 	}
 	if n == 0 {
 		return res
 	}
 
-	tree := knn.NewVPTree(x)
-	// neighbors returns points within maxEps of i (excluding i),
-	// ascending by distance.
-	neighbors := func(i int) []knn.Neighbor {
-		if math.IsInf(maxEps, 1) {
-			return tree.KNearest(x.Row(i), n-1, i)
-		}
-		nbs := tree.Radius(x.Row(i), maxEps)
-		out := nbs[:0]
-		for _, nb := range nbs {
-			if nb.Index != i {
-				out = append(out, nb)
-			}
-		}
-		return out
-	}
-	// coreDist: distance to the (minPts−1)-th nearest other point
-	// (minPts counts the point itself), undefined if beyond maxEps.
-	coreDist := func(nbs []knn.Neighbor) float64 {
-		if len(nbs) < minPts-1 {
-			return math.Inf(1)
-		}
-		d := nbs[minPts-2].Dist
-		if d > maxEps {
-			return math.Inf(1)
-		}
-		return d
-	}
-
 	processed := make([]bool, n)
+	dist := make([]float64, n)
+	// nearest holds the k = minPts−1 smallest in-range distances of the
+	// current point in ascending order (minPts counts the point itself).
+	k := minPts - 1
+	nearest := make([]float64, 0, k)
 	for start := 0; start < n; start++ {
 		if processed[start] {
 			continue
 		}
-		processed[start] = true
-		res.Order = append(res.Order, start)
-		nbs := neighbors(start)
-		cd := coreDist(nbs)
-		res.CoreDist[start] = cd
-		if math.IsInf(cd, 1) {
-			continue
-		}
-		seeds := newReachHeap(n)
-		update(nbs, cd, processed, res, seeds)
-		for seeds.Len() > 0 {
-			q := seeds.popMin()
-			processed[q] = true
-			res.Order = append(res.Order, q)
-			qnbs := neighbors(q)
-			qcd := coreDist(qnbs)
-			res.CoreDist[q] = qcd
-			if !math.IsInf(qcd, 1) {
-				update(qnbs, qcd, processed, res, seeds)
+		for p := start; p >= 0; p = nextSeed(reach, processed) {
+			processed[p] = true
+			res.Order = append(res.Order, p)
+
+			xp := x.Row(p)
+			nearest = nearest[:0]
+			for j := 0; j < n; j++ {
+				d := math.Sqrt(knn.DistSq(xp, x.Row(j)))
+				dist[j] = d
+				if j == p || d > maxEps {
+					continue
+				}
+				nearest = insertBounded(nearest, k, d)
+			}
+			if len(nearest) < k {
+				continue
+			}
+			cd := nearest[k-1]
+			res.CoreDist[p] = cd
+			for j, d := range dist {
+				if processed[j] || d > maxEps {
+					continue
+				}
+				if r := math.Max(cd, d); r < reach[j] {
+					reach[j] = r
+				}
 			}
 		}
 	}
 	return res
 }
 
-// update relaxes the reachability of p's unprocessed neighbors.
-func update(nbs []knn.Neighbor, coreDist float64, processed []bool, res *Result, seeds *reachHeap) {
-	for _, nb := range nbs {
-		if processed[nb.Index] {
-			continue
+// insertBounded inserts d into the ascending slice s, keeping at most
+// k smallest values.
+func insertBounded(s []float64, k int, d float64) []float64 {
+	if len(s) == k {
+		if d >= s[k-1] {
+			return s
 		}
-		newReach := math.Max(coreDist, nb.Dist)
-		if newReach < res.Reachability[nb.Index] {
-			res.Reachability[nb.Index] = newReach
-			seeds.upsert(nb.Index, newReach)
+		s = s[:k-1]
+	}
+	i := len(s)
+	s = append(s, d)
+	for ; i > 0 && s[i-1] > d; i-- {
+		s[i] = s[i-1]
+	}
+	s[i] = d
+	return s
+}
+
+// nextSeed returns the unprocessed point with the smallest finite
+// reachability, ties broken by lower index, or −1 when the current
+// expansion has no seeds left.
+func nextSeed(reach []float64, processed []bool) int {
+	best, bestR := -1, math.Inf(1)
+	for j, r := range reach {
+		if r < bestR && !processed[j] {
+			best, bestR = j, r
 		}
 	}
-}
-
-// reachHeap is an indexed min-heap on reachability with decrease-key.
-type reachHeap struct {
-	items []heapItem
-	pos   []int // point index -> heap position, -1 if absent
-}
-
-type heapItem struct {
-	index int
-	reach float64
-}
-
-func newReachHeap(n int) *reachHeap {
-	h := &reachHeap{pos: make([]int, n)}
-	for i := range h.pos {
-		h.pos[i] = -1
-	}
-	return h
-}
-
-func (h *reachHeap) Len() int { return len(h.items) }
-func (h *reachHeap) Less(i, j int) bool {
-	if h.items[i].reach != h.items[j].reach {
-		return h.items[i].reach < h.items[j].reach
-	}
-	// Deterministic tie-break on index keeps orderings reproducible.
-	return h.items[i].index < h.items[j].index
-}
-func (h *reachHeap) Swap(i, j int) {
-	h.items[i], h.items[j] = h.items[j], h.items[i]
-	h.pos[h.items[i].index] = i
-	h.pos[h.items[j].index] = j
-}
-func (h *reachHeap) Push(x interface{}) {
-	item := x.(heapItem)
-	h.pos[item.index] = len(h.items)
-	h.items = append(h.items, item)
-}
-func (h *reachHeap) Pop() interface{} {
-	old := h.items
-	n := len(old)
-	item := old[n-1]
-	h.items = old[:n-1]
-	h.pos[item.index] = -1
-	return item
-}
-
-func (h *reachHeap) upsert(index int, reach float64) {
-	if p := h.pos[index]; p >= 0 {
-		h.items[p].reach = reach
-		heap.Fix(h, p)
-		return
-	}
-	heap.Push(h, heapItem{index: index, reach: reach})
-}
-
-func (h *reachHeap) popMin() int {
-	return heap.Pop(h).(heapItem).index
+	return best
 }
 
 // ExtractDBSCAN cuts the reachability plot at eps, producing labels

@@ -1,9 +1,12 @@
 package optics
 
 import (
+	"container/heap"
+	"fmt"
 	"math"
 	"testing"
 
+	"arams/internal/knn"
 	"arams/internal/mat"
 	"arams/internal/rng"
 )
@@ -224,4 +227,246 @@ func TestRunDeterministic(t *testing.T) {
 			t.Fatal("OPTICS ordering not deterministic")
 		}
 	}
+}
+
+// runOracle is the classical heap-based OPTICS formulation: a VP-tree
+// neighbor query per point and an indexed decrease-key seed heap with
+// a (reachability, index) tie-break. Run must reproduce it bit for bit.
+func runOracle(x *mat.Matrix, minPts int, maxEps float64) *Result {
+	n := x.RowsN
+	if minPts < 2 {
+		minPts = 2
+	}
+	res := &Result{
+		Order:        make([]int, 0, n),
+		Reachability: make([]float64, n),
+		CoreDist:     make([]float64, n),
+	}
+	for i := range res.Reachability {
+		res.Reachability[i] = math.Inf(1)
+		res.CoreDist[i] = math.Inf(1)
+	}
+	if n == 0 {
+		return res
+	}
+
+	tree := knn.NewVPTree(x)
+	neighbors := func(i int) []knn.Neighbor {
+		if math.IsInf(maxEps, 1) {
+			return tree.KNearest(x.Row(i), n-1, i)
+		}
+		nbs := tree.Radius(x.Row(i), maxEps)
+		out := nbs[:0]
+		for _, nb := range nbs {
+			if nb.Index != i {
+				out = append(out, nb)
+			}
+		}
+		return out
+	}
+	coreDist := func(nbs []knn.Neighbor) float64 {
+		if len(nbs) < minPts-1 {
+			return math.Inf(1)
+		}
+		d := nbs[minPts-2].Dist
+		if d > maxEps {
+			return math.Inf(1)
+		}
+		return d
+	}
+	update := func(nbs []knn.Neighbor, cd float64, processed []bool, seeds *reachHeap) {
+		for _, nb := range nbs {
+			if processed[nb.Index] {
+				continue
+			}
+			newReach := math.Max(cd, nb.Dist)
+			if newReach < res.Reachability[nb.Index] {
+				res.Reachability[nb.Index] = newReach
+				seeds.upsert(nb.Index, newReach)
+			}
+		}
+	}
+
+	processed := make([]bool, n)
+	for start := 0; start < n; start++ {
+		if processed[start] {
+			continue
+		}
+		processed[start] = true
+		res.Order = append(res.Order, start)
+		nbs := neighbors(start)
+		cd := coreDist(nbs)
+		res.CoreDist[start] = cd
+		if math.IsInf(cd, 1) {
+			continue
+		}
+		seeds := newReachHeap(n)
+		update(nbs, cd, processed, seeds)
+		for seeds.Len() > 0 {
+			q := heap.Pop(seeds).(heapItem).index
+			processed[q] = true
+			res.Order = append(res.Order, q)
+			qnbs := neighbors(q)
+			qcd := coreDist(qnbs)
+			res.CoreDist[q] = qcd
+			if !math.IsInf(qcd, 1) {
+				update(qnbs, qcd, processed, seeds)
+			}
+		}
+	}
+	return res
+}
+
+// reachHeap is the oracle's indexed min-heap on reachability with
+// decrease-key.
+type reachHeap struct {
+	items []heapItem
+	pos   []int // point index -> heap position, -1 if absent
+}
+
+type heapItem struct {
+	index int
+	reach float64
+}
+
+func newReachHeap(n int) *reachHeap {
+	h := &reachHeap{pos: make([]int, n)}
+	for i := range h.pos {
+		h.pos[i] = -1
+	}
+	return h
+}
+
+func (h *reachHeap) Len() int { return len(h.items) }
+func (h *reachHeap) Less(i, j int) bool {
+	if h.items[i].reach != h.items[j].reach {
+		return h.items[i].reach < h.items[j].reach
+	}
+	return h.items[i].index < h.items[j].index
+}
+func (h *reachHeap) Swap(i, j int) {
+	h.items[i], h.items[j] = h.items[j], h.items[i]
+	h.pos[h.items[i].index] = i
+	h.pos[h.items[j].index] = j
+}
+func (h *reachHeap) Push(x interface{}) {
+	item := x.(heapItem)
+	h.pos[item.index] = len(h.items)
+	h.items = append(h.items, item)
+}
+func (h *reachHeap) Pop() interface{} {
+	old := h.items
+	n := len(old)
+	item := old[n-1]
+	h.items = old[:n-1]
+	h.pos[item.index] = -1
+	return item
+}
+
+func (h *reachHeap) upsert(index int, reach float64) {
+	if p := h.pos[index]; p >= 0 {
+		h.items[p].reach = reach
+		heap.Fix(h, p)
+		return
+	}
+	heap.Push(h, heapItem{index: index, reach: reach})
+}
+
+// oracleInputs returns 2-D point sets of n rows that stress ties:
+// continuous blobs, coordinates quantised to a coarse grid (many equal
+// distances), and every point duplicated (zero distances).
+func oracleInputs(n int, seed uint64) map[string]*mat.Matrix {
+	cont, _ := blobs(3, (n+2)/3, 1.5, 0.4, seed)
+	cont = mat.FromRows(rowsOf(cont)[:n])
+	quant := cont.Clone()
+	for i := range quant.Data {
+		quant.Data[i] = math.Round(quant.Data[i]*10) / 10
+	}
+	dup := mat.New(n, 2)
+	for i := 0; i < n; i++ {
+		copy(dup.Row(i), cont.Row(i/2))
+	}
+	return map[string]*mat.Matrix{"continuous": cont, "quantised": quant, "duplicates": dup}
+}
+
+func rowsOf(x *mat.Matrix) [][]float64 {
+	rows := make([][]float64, x.RowsN)
+	for i := range rows {
+		rows[i] = x.Row(i)
+	}
+	return rows
+}
+
+// TestRunMatchesHeapOracle is the differential test for the dense
+// rewrite: Order, Reachability, CoreDist and both extractions must be
+// bit-identical to the heap + VP-tree formulation across sizes, tie
+// patterns, generating radii and minPts. The largest size keeps only
+// the tie-heavy inputs to bound the oracle's cost under -race.
+func TestRunMatchesHeapOracle(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 200, 1500} {
+		n := n
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			t.Parallel()
+			for kind, x := range oracleInputs(n, uint64(n)+1) {
+				if n > 200 && kind == "continuous" {
+					continue
+				}
+				for _, maxEps := range []float64{math.Inf(1), 0.5, 0.05} {
+					for _, minPts := range []int{2, 5, 11} {
+						checkAgainstOracle(t, fmt.Sprintf("%s/eps=%v/minPts=%d", kind, maxEps, minPts), x, minPts, maxEps)
+					}
+				}
+			}
+		})
+	}
+}
+
+func checkAgainstOracle(t *testing.T, name string, x *mat.Matrix, minPts int, maxEps float64) {
+	t.Helper()
+	got, want := Run(x, minPts, maxEps), runOracle(x, minPts, maxEps)
+	if err := sameResult(got, want); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	for _, xi := range []float64{0.05, 0.15} {
+		if err := sameLabels(got.ExtractXi(xi, minPts, 0), want.ExtractXi(xi, minPts, 0)); err != nil {
+			t.Fatalf("%s: ExtractXi(%v): %v", name, xi, err)
+		}
+	}
+	for _, eps := range []float64{0.05, 0.2, 1} {
+		if err := sameLabels(got.ExtractDBSCAN(eps), want.ExtractDBSCAN(eps)); err != nil {
+			t.Fatalf("%s: ExtractDBSCAN(%v): %v", name, eps, err)
+		}
+	}
+}
+
+func sameResult(got, want *Result) error {
+	if len(got.Order) != len(want.Order) {
+		return fmt.Errorf("order length %d, want %d", len(got.Order), len(want.Order))
+	}
+	for i := range want.Order {
+		if got.Order[i] != want.Order[i] {
+			return fmt.Errorf("order[%d] = %d, want %d", i, got.Order[i], want.Order[i])
+		}
+	}
+	for i := range want.Reachability {
+		if math.Float64bits(got.Reachability[i]) != math.Float64bits(want.Reachability[i]) {
+			return fmt.Errorf("reachability[%d] = %v, want %v", i, got.Reachability[i], want.Reachability[i])
+		}
+		if math.Float64bits(got.CoreDist[i]) != math.Float64bits(want.CoreDist[i]) {
+			return fmt.Errorf("core distance[%d] = %v, want %v", i, got.CoreDist[i], want.CoreDist[i])
+		}
+	}
+	return nil
+}
+
+func sameLabels(got, want []int) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d labels, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			return fmt.Errorf("label[%d] = %d, want %d", i, got[i], want[i])
+		}
+	}
+	return nil
 }

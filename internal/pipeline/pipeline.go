@@ -8,6 +8,7 @@ package pipeline
 import (
 	"math"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"arams/internal/abod"
@@ -199,23 +200,14 @@ type Result struct {
 
 // Process runs the batch pipeline on a set of frames. Preprocessing is
 // a Stage like everything downstream, fanned out per frame on the
-// shared worker pool (Preprocessor.Apply works on a copy, so frames
-// preprocess independently).
+// shared worker pool straight into the rows of the data matrix.
 func Process(frames []*imgproc.Image, cfg Config) *Result {
 	cfg = cfg.withDefaults()
 	start := time.Now()
 
 	var x *mat.Matrix
 	times := engine.RunStages([]engine.Stage{
-		{Name: "preprocess", Run: func() {
-			pre := make([]*imgproc.Image, len(frames))
-			mat.ParallelFor(len(frames), 1, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					pre[i] = cfg.Pre.Apply(frames[i])
-				}
-			})
-			x = imgproc.ToMatrix(pre)
-		}},
+		{Name: "preprocess", Run: func() { x = preprocessRows(frames, cfg.Pre) }},
 	})
 
 	res := ProcessMatrix(x, cfg)
@@ -223,6 +215,54 @@ func Process(frames []*imgproc.Image, cfg Config) *Result {
 	res.StageTimes["preprocess"] = times["preprocess"]
 	res.TotalTime = time.Since(start)
 	return res
+}
+
+// preprocessRows runs the chain over frames into one n×d matrix, d
+// being the first frame's preprocessed length. A shape-keeping chain
+// preprocesses each frame in place in its row; a reshaping one (Center,
+// Bin) copies ApplyVec's output into the row, since ApplyVec recycles
+// the buffer it was handed when it reshapes. Frames whose preprocessed
+// sizes differ panic, on the caller's goroutine.
+func preprocessRows(frames []*imgproc.Image, pre imgproc.Preprocessor) *mat.Matrix {
+	n := len(frames)
+	if n == 0 {
+		return mat.New(0, 0)
+	}
+	reshapes := pre.Reshapes()
+	d := frames[0].W * frames[0].H
+	var first []float64
+	if reshapes {
+		first = pre.ApplyVec(frames[0], mat.GetVec(d))
+		d = len(first)
+	}
+	x := mat.New(n, d)
+	var mixed atomic.Bool
+	mat.ParallelFor(n, 1, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			row := x.Row(i)
+			var out []float64
+			switch {
+			case !reshapes:
+				out = pre.ApplyVec(frames[i], row[:0:d])
+			case i == 0:
+				out = first
+			default:
+				out = pre.ApplyVec(frames[i], mat.GetVec(frames[i].W*frames[i].H))
+			}
+			if len(out) != d {
+				mixed.Store(true)
+				continue
+			}
+			if reshapes {
+				copy(row, out)
+				mat.PutVec(out)
+			}
+		}
+	})
+	if mixed.Load() {
+		panic("pipeline: preprocessed frames differ in size")
+	}
+	return x
 }
 
 // ProcessMatrix runs the pipeline on an already-flattened data matrix
