@@ -29,6 +29,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 )
 
 // Magic is the frame signature "ACKP".
@@ -130,17 +131,15 @@ func Peek(b []byte) (Header, error) {
 	return h, nil
 }
 
-// frame wraps an encoded payload with the header and checksum.
-func frame(kind Kind, payload []byte) []byte {
-	out := make([]byte, headerLen+len(payload)+trailerLen)
-	binary.LittleEndian.PutUint32(out[0:4], Magic)
-	binary.LittleEndian.PutUint32(out[4:8], Version)
-	binary.LittleEndian.PutUint32(out[8:12], uint32(kind))
-	binary.LittleEndian.PutUint64(out[12:20], uint64(len(payload)))
-	copy(out[headerLen:], payload)
-	body := headerLen + len(payload)
-	binary.LittleEndian.PutUint32(out[body:], crc32.ChecksumIEEE(out[:body]))
-	return out
+// seal finishes the frame e has been encoding in place: it writes the
+// header into the reserved prefix and appends the checksum.
+func (e *enc) seal(kind Kind) []byte {
+	b := e.b
+	binary.LittleEndian.PutUint32(b[0:4], Magic)
+	binary.LittleEndian.PutUint32(b[4:8], Version)
+	binary.LittleEndian.PutUint32(b[8:12], uint32(kind))
+	binary.LittleEndian.PutUint64(b[12:20], uint64(len(b)-headerLen))
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
 }
 
 // unframe validates the header and checksum and returns the header and
@@ -178,12 +177,20 @@ func Decode(r io.Reader) (any, error) {
 // --- primitive field stream ---
 //
 // Payloads are flat streams of little-endian primitives in a fixed
-// field order per type. The encoder builds a byte slice; the decoder
-// walks it with a sticky error and hard bounds checks, so corrupt
-// declared lengths fail cleanly instead of panicking or allocating
-// unbounded memory.
+// field order per type. The encoder builds the whole frame in one byte
+// slice — header space reserved up front, payload appended, header and
+// checksum filled in by seal — so a checkpoint is written once, never
+// copied; the decoder walks the payload with a sticky error and hard
+// bounds checks, so corrupt declared lengths fail cleanly instead of
+// panicking or allocating unbounded memory.
 
 type enc struct{ b []byte }
+
+// newEnc returns an encoder with the frame header reserved and room for
+// a payload of about payloadHint bytes.
+func newEnc(payloadHint int) *enc {
+	return &enc{b: make([]byte, headerLen, headerLen+payloadHint+trailerLen)}
+}
 
 func (e *enc) u8(v uint8)    { e.b = append(e.b, v) }
 func (e *enc) u64(v uint64)  { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
@@ -197,11 +204,16 @@ func (e *enc) bool(v bool) {
 	}
 }
 
-// floats writes a length-prefixed []float64.
+// floats writes a length-prefixed []float64, growing the buffer once
+// and storing the values in place.
 func (e *enc) floats(v []float64) {
 	e.i64(len(v))
+	off := len(e.b)
+	e.b = slices.Grow(e.b, 8*len(v))[:off+8*len(v)]
+	out := e.b[off:]
 	for _, x := range v {
-		e.f64(x)
+		binary.LittleEndian.PutUint64(out, math.Float64bits(x))
+		out = out[8:]
 	}
 }
 

@@ -416,3 +416,10 @@ func TestPeek(t *testing.T) {
 		t.Fatalf("payload length %d != %d", h.PayloadLen, len(b)-headerLen-trailerLen)
 	}
 }
+
+// frame wraps an encoded payload with the header and checksum.
+func frame(kind Kind, payload []byte) []byte {
+	e := newEnc(len(payload))
+	e.b = append(e.b, payload...)
+	return e.seal(kind)
+}

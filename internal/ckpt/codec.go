@@ -19,44 +19,86 @@ import (
 //	sketch.ARAMSState / *sketch.ARAMSState               → KindARAMS
 //	*pipeline.MonitorState                               → KindMonitor
 func Marshal(state any) ([]byte, error) {
-	e := &enc{}
+	var (
+		kind Kind
+		e    *enc
+		err  error
+	)
 	switch s := state.(type) {
 	case sketch.FDState:
+		kind, e = KindFD, newEnc(fdSize(&s))
 		encodeFD(e, &s)
-		return frame(KindFD, e.b), nil
 	case *sketch.FDState:
+		kind, e = KindFD, newEnc(fdSize(s))
 		encodeFD(e, s)
-		return frame(KindFD, e.b), nil
 	case sketch.RankAdaptiveState:
+		kind, e = KindRankAdaptive, newEnc(rankAdaptiveSize(&s))
 		encodeRankAdaptive(e, &s)
-		return frame(KindRankAdaptive, e.b), nil
 	case *sketch.RankAdaptiveState:
+		kind, e = KindRankAdaptive, newEnc(rankAdaptiveSize(s))
 		encodeRankAdaptive(e, s)
-		return frame(KindRankAdaptive, e.b), nil
 	case sketch.PriorityState:
+		kind, e = KindPriority, newEnc(0)
 		encodePriority(e, &s)
-		return frame(KindPriority, e.b), nil
 	case *sketch.PriorityState:
+		kind, e = KindPriority, newEnc(0)
 		encodePriority(e, s)
-		return frame(KindPriority, e.b), nil
 	case sketch.ARAMSState:
-		if err := encodeARAMS(e, &s); err != nil {
-			return nil, err
-		}
-		return frame(KindARAMS, e.b), nil
+		kind, e = KindARAMS, newEnc(aramsSize(&s))
+		err = encodeARAMS(e, &s)
 	case *sketch.ARAMSState:
-		if err := encodeARAMS(e, s); err != nil {
-			return nil, err
-		}
-		return frame(KindARAMS, e.b), nil
+		kind, e = KindARAMS, newEnc(aramsSize(s))
+		err = encodeARAMS(e, s)
 	case *pipeline.MonitorState:
-		if err := encodeMonitor(e, s); err != nil {
-			return nil, err
-		}
-		return frame(KindMonitor, e.b), nil
+		kind, e = KindMonitor, newEnc(monitorSize(s))
+		err = encodeMonitor(e, s)
 	default:
 		return nil, fmt.Errorf("ckpt: cannot marshal %T", state)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return e.seal(kind), nil
+}
+
+// Payload size estimates for presizing the encoder. They count the
+// float payloads that dominate a frame plus a fixed allowance for the
+// scalar fields; an underestimate only costs one append growth.
+const scalarSlack = 512
+
+func fdSize(s *sketch.FDState) int { return scalarSlack + 8*len(s.Buffer) }
+
+func rankAdaptiveSize(s *sketch.RankAdaptiveState) int {
+	n := fdSize(&s.FD)
+	for _, row := range s.Recent {
+		n += 8 + 8*len(row)
+	}
+	return n
+}
+
+func aramsSize(s *sketch.ARAMSState) int {
+	switch {
+	case s.RankAdaptive != nil:
+		return rankAdaptiveSize(s.RankAdaptive)
+	case s.FD != nil:
+		return fdSize(s.FD)
+	}
+	return scalarSlack
+}
+
+// monitorSize is dominated by the window: one tag, length prefix and
+// feature vector per frame. The audit journal is left to append.
+func monitorSize(s *pipeline.MonitorState) int {
+	n := scalarSlack
+	for _, f := range s.Frames {
+		n += 16 + 8*len(f.Vec)
+	}
+	for _, ss := range s.Shards {
+		if ss != nil {
+			n += 1 + aramsSize(ss)
+		}
+	}
+	return n
 }
 
 // Unmarshal decodes one checkpoint frame. It returns one of

@@ -48,13 +48,22 @@ func BenchmarkQR(b *testing.B) {
 	}
 }
 
+// BenchmarkEigSym times the tridiagonal-QL eigensolver against the
+// cyclic-Jacobi reference on FD Gram matrices (n = 2ℓ).
 func BenchmarkEigSym(b *testing.B) {
 	g := rng.New(5)
-	a := RandGaussian(64, 64, g)
-	s := Mul(a, a.T())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _ = EigSym(s)
+	for _, n := range []int{50, 100} {
+		s := Gram(RandGaussian(n, 4096, g))
+		b.Run(fmt.Sprintf("ref_%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				_, _ = RefEigSym(s)
+			}
+		})
+		b.Run(fmt.Sprintf("ql_%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				_, _ = EigSym(s)
+			}
+		})
 	}
 }
 

@@ -5,252 +5,233 @@ import (
 	"time"
 )
 
-// eigMaxSweeps bounds the cyclic-Jacobi iteration; convergence is
-// quadratic once rotations get small, so real inputs finish in a
-// handful of sweeps.
-const eigMaxSweeps = 64
-
-// eigParallelMinN is the matrix order below which the parallel
-// round-robin sweep is never worth its coordination overhead; the
-// 2ℓ×2ℓ Gram matrices of typical FD rotations stay serial.
-const eigParallelMinN = 96
+// eigMaxIter bounds the implicit-QL iterations spent on one eigenvalue.
+// Convergence is cubic, so real inputs take two or three; the cap only
+// stops non-finite input from spinning forever.
+const eigMaxIter = 64
 
 // EigSym computes the full eigendecomposition of a symmetric n×n matrix
-// a using the cyclic Jacobi method: a = v * diag(vals) * vᵀ with the
-// eigenvalues sorted in descending order and v's columns the matching
-// orthonormal eigenvectors. The input is not modified.
+// a: a = v * diag(vals) * vᵀ with the eigenvalues sorted in descending
+// order and v's columns the matching orthonormal eigenvectors. The
+// input is not modified; only its upper triangle is read.
 //
-// Jacobi iteration is chosen over tridiagonalization+QL because the
-// matrices this package decomposes are small (Gram matrices of sketch
-// buffers, at most a few hundred rows) and Jacobi delivers high relative
-// accuracy for the small eigenvalues that the Frequent Directions shrink
-// step subtracts. Large decompositions run the round-robin ordering,
-// whose disjoint rotation pairs spread across the shared worker pool.
+// The solver is Householder tridiagonalization followed by implicit QL
+// with Wilkinson shifts (EISPACK tred2/tql2). Its error is backward
+// stable — every eigenvalue is exact for a matrix within O(n·ε·‖a‖) of
+// a — which is all the Frequent Directions shrink needs: δ = σ_ℓ² is
+// subtracted from the whole spectrum, so absolute accuracy relative to
+// the largest eigenvalue is the scale that matters. RefEigSym keeps the
+// cyclic-Jacobi solver as the test oracle.
 func EigSym(a *Matrix) (vals []float64, v *Matrix) {
 	n := a.RowsN
 	if n != a.ColsN {
 		panic("mat: EigSym needs a square matrix")
 	}
-	v = New(n, n)
-	if n == 0 {
-		setIdentity(v)
-		return nil, v
-	}
-	w := a.Clone()
+	z := a.Clone()
 	vals = make([]float64, n)
-	eigSymInto(w, v, vals)
-	return vals, v
+	e := make([]float64, n)
+	eigSymInto(z, vals, e)
+	return vals, z.T()
 }
 
-// eigSymInto runs the Jacobi eigendecomposition in caller-owned
-// storage: w (destroyed), v (overwritten with eigenvectors), and vals
-// (filled with descending eigenvalues). It performs no heap
-// allocations on the serial path, which is what the pooled FD rotation
-// relies on.
-func eigSymInto(w, v *Matrix, vals []float64) {
+// eigSymInto eigendecomposes the symmetric matrix z in place: on return
+// vals holds the eigenvalues in descending order and row i of z the
+// unit eigenvector of vals[i]. e is n floats of workspace. Only the
+// upper triangle of z is read. No heap allocations — the pooled FD
+// rotation relies on that.
+//
+// Storing the eigenvectors as rows (z = Vᵀ) is what keeps every O(n³)
+// loop unit-stride: with the textbook column layout transposed, the
+// Householder updates, the back-accumulation and the QL plane rotations
+// all walk rows, and run through the bounds-check-free kernels in
+// inner.go.
+func eigSymInto(z *Matrix, vals, e []float64) {
 	start := time.Now()
-	n := w.RowsN
-	setIdentity(v)
-	if n == 0 {
+	n := z.RowsN
+	switch n {
+	case 0:
+		return
+	case 1:
+		vals[0] = z.Data[0]
+		z.Data[0] = 1
 		return
 	}
-	if n == 1 {
-		vals[0] = w.At(0, 0)
-		return
-	}
-	if n >= eigParallelMinN && Workers() > 1 {
-		eigSweepsParallel(w, v)
-	} else {
-		eigSweepsSerial(w, v)
-	}
-	for i := 0; i < n; i++ {
-		vals[i] = w.At(i, i)
-	}
-	sortEigenpairs(vals, v)
+	tred2(z, vals, e)
+	tql2(z, vals, e)
+	sortEigenpairs(vals, z)
 	observeSince(obsKernelEig, start)
 }
 
-// eigSweepsSerial is the classic cyclic ordering: every (p, q) pair in
-// row-major order, repeated until the off-diagonal mass is negligible.
-func eigSweepsSerial(w, v *Matrix) {
-	n := w.RowsN
-	for sweep := 0; sweep < eigMaxSweeps; sweep++ {
-		off := offDiagNorm(w)
-		if off == 0 {
-			break
+// tred2 reduces z to symmetric tridiagonal form T = QᵀzQ by Householder
+// reflections, leaving T's diagonal in d, its subdiagonal in e[1:], and
+// Qᵀ in z. It is EISPACK's tred2 (in the JAMA formulation) with every
+// V[a][b] access read as z[b][a].
+func tred2(z *Matrix, d, e []float64) {
+	n := z.RowsN
+	row := func(i int) []float64 { return z.Data[i*z.Stride : i*z.Stride+n] }
+	col := func(j, i int) float64 { return z.Data[j*z.Stride+i] }
+	for j := 0; j < n; j++ {
+		d[j] = col(j, n-1)
+	}
+	for i := n - 1; i > 0; i-- {
+		zi := row(i)
+		var scale, h float64
+		for _, x := range d[:i] {
+			scale += math.Abs(x)
 		}
-		// Convergence: off-diagonal mass negligible relative to scale.
-		scale := w.MaxAbs()
-		if off <= 1e-30*scale*float64(n) {
-			break
+		if scale == 0 {
+			e[i] = d[i-1]
+			for j := 0; j < i; j++ {
+				d[j] = col(j, i-1)
+				row(j)[i] = 0
+				zi[j] = 0
+			}
+			d[i] = 0
+			continue
 		}
-		for p := 0; p < n-1; p++ {
-			for q := p + 1; q < n; q++ {
-				apq := w.At(p, q)
-				if apq == 0 {
-					continue
-				}
-				app := w.At(p, p)
-				aqq := w.At(q, q)
-				// Threshold: rotating for vanishing elements only
-				// churns; skip if negligible versus the diagonal.
-				if math.Abs(apq) <= 1e-18*(math.Abs(app)+math.Abs(aqq)) {
-					w.Set(p, q, 0)
-					w.Set(q, p, 0)
-					continue
-				}
-				c, s := jacobiAngle(app, aqq, apq)
-				applyJacobi(w, v, p, q, c, s)
+		// Householder vector of the current row, scaled against
+		// under/overflow.
+		for k := 0; k < i; k++ {
+			d[k] /= scale
+			h += d[k] * d[k]
+		}
+		f := d[i-1]
+		g := math.Sqrt(h)
+		if f > 0 {
+			g = -g
+		}
+		e[i] = scale * g
+		h -= f * g
+		d[i-1] = f - g
+		for j := 0; j < i; j++ {
+			e[j] = 0
+		}
+		// p = A·u over the leading i×i block (upper triangle of z).
+		for j := 0; j < i; j++ {
+			f = d[j]
+			zi[j] = f
+			zj := row(j)
+			e[j] += zj[j]*f + symvRow(zj[j+1:i], d[j+1:i], e[j+1:i], f)
+		}
+		f = 0
+		for j := 0; j < i; j++ {
+			e[j] /= h
+			f += e[j] * d[j]
+		}
+		hh := f / (h + h)
+		for j := 0; j < i; j++ {
+			e[j] -= hh * d[j]
+		}
+		// Rank-2 update A ← A − u·qᵀ − q·uᵀ.
+		for j := 0; j < i; j++ {
+			zj := row(j)
+			rank2Row(zj[j:i], e[j:i], d[j:i], d[j], e[j])
+			d[j] = zj[i-1]
+			zj[i] = 0
+		}
+		d[i] = h
+	}
+
+	// Accumulate the reflections into Qᵀ.
+	for i := 0; i < n-1; i++ {
+		zi := row(i)
+		zi[n-1] = zi[i]
+		zi[i] = 1
+		u := row(i + 1)[:i+1]
+		if h := d[i+1]; h != 0 {
+			for k, x := range u {
+				d[k] = x / h
+			}
+			for j := 0; j <= i; j++ {
+				zj := row(j)[:i+1]
+				axpy(-dotKernel(u, zj), d[:i+1], zj)
 			}
 		}
+		for k := range u {
+			u[k] = 0
+		}
 	}
+	for j := 0; j < n; j++ {
+		zj := row(j)
+		d[j] = zj[n-1]
+		zj[n-1] = 0
+	}
+	row(n - 1)[n-1] = 1
+	e[0] = 0
 }
 
-// eigSweepsParallel runs the round-robin (chess tournament) ordering:
-// each of the n−1 rounds per sweep pairs every index exactly once, the
-// pairs are disjoint, and one round's rotations commute — so the row
-// phase and the column phase each fan out over the pool with a barrier
-// between them. Rotation angles for a round are computed up front from
-// the round-start matrix, which is what makes the phases exact (the
-// product of disjoint plane rotations applied as JᵀAJ).
-func eigSweepsParallel(w, v *Matrix) {
-	n := w.RowsN
-	np := n
-	if np%2 == 1 {
-		np++ // pad with a bye
-	}
-	players := make([]int, np)
-	for i := range players {
-		players[i] = i
-	}
-	if np > n {
-		players[np-1] = -1
-	}
-	half := np / 2
-	ps := make([]int, half)
-	qs := make([]int, half)
-	cs := make([]float64, half)
-	sn := make([]float64, half)
-	active := make([]bool, half)
+// tql2 diagonalizes the symmetric tridiagonal matrix (d, e[1:]) from
+// tred2 by implicit QL iteration with Wilkinson shifts, rotating the
+// rows of z (Qᵀ) along, so on return d holds the eigenvalues (unsorted)
+// and row i of z the eigenvector of d[i].
+func tql2(z *Matrix, d, e []float64) {
+	n := z.RowsN
+	row := func(i int) []float64 { return z.Data[i*z.Stride : i*z.Stride+n] }
+	copy(e, e[1:])
+	e[n-1] = 0
 
-	for sweep := 0; sweep < eigMaxSweeps; sweep++ {
-		off := offDiagNorm(w)
-		if off == 0 {
-			break
+	const eps = 0x1p-52
+	var f, tst1 float64
+	for l := 0; l < n; l++ {
+		tst1 = math.Max(tst1, math.Abs(d[l])+math.Abs(e[l]))
+		// Find a negligible subdiagonal element; e[n-1] = 0 stops the
+		// scan unless the input is not finite.
+		m := l
+		for m < n-1 && !(math.Abs(e[m]) <= eps*tst1) {
+			m++
 		}
-		scale := w.MaxAbs()
-		if off <= 1e-30*scale*float64(n) {
-			break
-		}
-		for round := 0; round < np-1; round++ {
-			nact := 0
-			for k := 0; k < half; k++ {
-				active[k] = false
-				p, q := players[k], players[np-1-k]
-				if p < 0 || q < 0 {
-					continue
-				}
-				if p > q {
-					p, q = q, p
-				}
-				apq := w.At(p, q)
-				if apq == 0 {
-					continue
-				}
-				app := w.At(p, p)
-				aqq := w.At(q, q)
-				if math.Abs(apq) <= 1e-18*(math.Abs(app)+math.Abs(aqq)) {
-					w.Set(p, q, 0)
-					w.Set(q, p, 0)
-					continue
-				}
-				cs[k], sn[k] = jacobiAngle(app, aqq, apq)
-				ps[k], qs[k] = p, q
-				active[k] = true
-				nact++
+		for iter := 0; m > l && iter < eigMaxIter; iter++ {
+			// Implicit shift from the leading 2×2 of the unreduced block.
+			g := d[l]
+			p := (d[l+1] - g) / (2 * e[l])
+			r := math.Hypot(p, 1)
+			if p < 0 {
+				r = -r
 			}
-			if nact > 0 {
-				ParallelFor(half, 1, func(lo, hi int) {
-					for k := lo; k < hi; k++ {
-						if active[k] {
-							rotateRows(w, ps[k], qs[k], cs[k], sn[k])
-						}
-					}
-				})
-				ParallelFor(half, 1, func(lo, hi int) {
-					for k := lo; k < hi; k++ {
-						if active[k] {
-							rotateCols(w, v, ps[k], qs[k], cs[k], sn[k])
-							w.Set(ps[k], qs[k], 0)
-							w.Set(qs[k], ps[k], 0)
-						}
-					}
-				})
+			d[l] = e[l] / (p + r)
+			d[l+1] = e[l] * (p + r)
+			dl1 := d[l+1]
+			h := g - d[l]
+			for i := l + 2; i < n; i++ {
+				d[i] -= h
 			}
-			rotatePlayers(players)
+			f += h
+
+			// Implicit QL sweep from m−1 up to l.
+			p = d[m]
+			c, c2, c3 := 1.0, 1.0, 1.0
+			el1 := e[l+1]
+			var s, s2 float64
+			for i := m - 1; i >= l; i-- {
+				c3 = c2
+				c2 = c
+				s2 = s
+				g = c * e[i]
+				h = c * p
+				r = math.Hypot(p, e[i])
+				e[i+1] = s * r
+				s = e[i] / r
+				c = p / r
+				p = c*d[i] - s*g
+				d[i+1] = h + s*(c*g+s*d[i])
+				givensRows(row(i), row(i+1), c, s)
+			}
+			p = -s * s2 * c3 * el1 * e[l] / dl1
+			e[l] = s * p
+			d[l] = c * p
+			if !(math.Abs(e[l]) > eps*tst1) {
+				break
+			}
 		}
+		d[l] += f
+		e[l] = 0
 	}
 }
 
-// jacobiAngle returns the stable (c, s) of the rotation annihilating
-// apq (Golub & Van Loan).
-func jacobiAngle(app, aqq, apq float64) (c, s float64) {
-	theta := (aqq - app) / (2 * apq)
-	var t float64
-	if theta >= 0 {
-		t = 1 / (theta + math.Sqrt(1+theta*theta))
-	} else {
-		t = -1 / (-theta + math.Sqrt(1+theta*theta))
-	}
-	c = 1 / math.Sqrt(1+t*t)
-	s = t * c
-	return c, s
-}
-
-// rotateRows applies the left half of the similarity transform,
-// w ← Jᵀw: rows p and q are recombined, other rows untouched.
-func rotateRows(w *Matrix, p, q int, c, s float64) {
-	rp := w.Row(p)
-	rq := w.Row(q)
-	for j := range rp {
-		wp := rp[j]
-		wq := rq[j]
-		rp[j] = c*wp - s*wq
-		rq[j] = s*wp + c*wq
-	}
-}
-
-// rotateCols applies the right half, w ← wJ, and accumulates the
-// eigenvector rotation v ← vJ. Columns p and q only.
-func rotateCols(w, v *Matrix, p, q int, c, s float64) {
-	n := w.RowsN
-	for i := 0; i < n; i++ {
-		wp := w.At(i, p)
-		wq := w.At(i, q)
-		w.Set(i, p, c*wp-s*wq)
-		w.Set(i, q, s*wp+c*wq)
-	}
-	for i := 0; i < v.RowsN; i++ {
-		vp := v.At(i, p)
-		vq := v.At(i, q)
-		v.Set(i, p, c*vp-s*vq)
-		v.Set(i, q, s*vp+c*vq)
-	}
-}
-
-// rotatePlayers advances the round-robin schedule: index 0 is fixed,
-// the rest rotate one position.
-func rotatePlayers(players []int) {
-	np := len(players)
-	last := players[np-1]
-	copy(players[2:], players[1:np-1])
-	players[1] = last
-}
-
-// sortEigenpairs orders (vals, columns of v) by descending eigenvalue
-// in place with a selection sort — no allocation, and n is at most a
-// few hundred.
-func sortEigenpairs(vals []float64, v *Matrix) {
+// sortEigenpairs orders (vals, rows of z) by descending eigenvalue in
+// place with a selection sort — no allocation, and n is at most a few
+// hundred.
+func sortEigenpairs(vals []float64, z *Matrix) {
 	n := len(vals)
 	for j := 0; j < n; j++ {
 		mx := j
@@ -261,66 +242,10 @@ func sortEigenpairs(vals []float64, v *Matrix) {
 		}
 		if mx != j {
 			vals[j], vals[mx] = vals[mx], vals[j]
-			for i := 0; i < v.RowsN; i++ {
-				t := v.At(i, j)
-				v.Set(i, j, v.At(i, mx))
-				v.Set(i, mx, t)
+			rj, rm := z.Row(j), z.Row(mx)
+			for i := range rj {
+				rj[i], rm[i] = rm[i], rj[i]
 			}
 		}
 	}
-}
-
-// setIdentity overwrites m with the identity.
-func setIdentity(m *Matrix) {
-	for i := 0; i < m.RowsN; i++ {
-		row := m.Row(i)
-		for j := range row {
-			row[j] = 0
-		}
-		if i < m.ColsN {
-			row[i] = 1
-		}
-	}
-}
-
-// applyJacobi applies the rotation J(p,q,c,s) as w = JᵀwJ and v = vJ.
-func applyJacobi(w, v *Matrix, p, q int, c, s float64) {
-	n := w.RowsN
-	app := w.At(p, p)
-	aqq := w.At(q, q)
-	apq := w.At(p, q)
-	// Update the 2×2 block exactly.
-	w.Set(p, p, c*c*app-2*s*c*apq+s*s*aqq)
-	w.Set(q, q, s*s*app+2*s*c*apq+c*c*aqq)
-	w.Set(p, q, 0)
-	w.Set(q, p, 0)
-	for i := 0; i < n; i++ {
-		if i == p || i == q {
-			continue
-		}
-		aip := w.At(i, p)
-		aiq := w.At(i, q)
-		w.Set(i, p, c*aip-s*aiq)
-		w.Set(p, i, c*aip-s*aiq)
-		w.Set(i, q, s*aip+c*aiq)
-		w.Set(q, i, s*aip+c*aiq)
-	}
-	for i := 0; i < n; i++ {
-		vip := v.At(i, p)
-		viq := v.At(i, q)
-		v.Set(i, p, c*vip-s*viq)
-		v.Set(i, q, s*vip+c*viq)
-	}
-}
-
-func offDiagNorm(w *Matrix) float64 {
-	var s float64
-	n := w.RowsN
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			v := w.At(i, j)
-			s += 2 * v * v
-		}
-	}
-	return math.Sqrt(s)
 }

@@ -1,10 +1,11 @@
 package mat
 
-// Bounds-check-free inner loops for the dense kernels. Everything in
-// this file is on the multiply-add critical path of the FD rotation
-// shapes (2ℓ×d buffers, d up to millions of columns), where a single
-// bounds check per element costs a compare+branch against 1–2 FMAs of
-// useful work and blocks the instruction scheduler from pipelining the
+// Bounds-check-free inner loops for the dense kernels and the symmetric
+// eigensolver. Everything in this file is on the multiply-add critical
+// path of the FD rotation (2ℓ×d buffers, d up to millions of columns,
+// and the 2ℓ×2ℓ eigensolve between them), where a single bounds check
+// per element costs a compare+branch against 1–2 FMAs of useful work
+// and blocks the instruction scheduler from pipelining the
 // accumulator chains.
 //
 // Two loop shapes survive both the bounds-check prover and the
@@ -142,4 +143,43 @@ func dot1x2(x, b0, b1 []float64) (c0, c1 float64) {
 		c1 += v * b1[k]
 	}
 	return
+}
+
+// symvRow is the row step of the tridiagonalization's symmetric
+// matrix-vector product: it adds f*w to e and returns w·d, reading one
+// row segment of the working matrix for both halves of the symmetric
+// product.
+func symvRow(w, d, e []float64, f float64) (g float64) {
+	n := len(w)
+	d = d[:n]
+	e = e[:n]
+	for k := 0; k < n; k++ {
+		x := w[k]
+		g += x * d[k]
+		e[k] += x * f
+	}
+	return g
+}
+
+// rank2Row applies one row of the tridiagonalization's symmetric
+// rank-2 update: w -= f*e + g*d.
+func rank2Row(w, e, d []float64, f, g float64) {
+	n := len(w)
+	e = e[:n]
+	d = d[:n]
+	for k := 0; k < n; k++ {
+		w[k] -= f*e[k] + g*d[k]
+	}
+}
+
+// givensRows applies the QL plane rotation to the eigenvector rows x
+// and y: (x, y) ← (c·x − s·y, s·x + c·y).
+func givensRows(x, y []float64, c, s float64) {
+	n := len(x)
+	y = y[:n]
+	for k := 0; k < n; k++ {
+		a, b := x[k], y[k]
+		x[k] = c*a - s*b
+		y[k] = s*a + c*b
+	}
 }

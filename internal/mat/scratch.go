@@ -3,18 +3,18 @@ package mat
 import "sync"
 
 // Pooled scratch for the Gram-trick SVD. One svdScratch carries every
-// intermediate the rotation path needs — the m×m Gram matrix, the
-// eigensolver's vector matrix, the eigenvalue buffer, and the
-// back-substitution coefficients — so a steady stream of FD rotations
-// reuses the same storage instead of allocating ~m² + md floats per
-// rotation and feeding the garbage collector at the machine repetition
-// rate.
+// intermediate the rotation path needs — the m×m Gram matrix (which the
+// eigensolver overwrites with its eigenvectors), the eigenvalue and
+// off-diagonal buffers, and the back-substitution coefficients — so a
+// steady stream of FD rotations reuses the same storage instead of
+// allocating ~m² + md floats per rotation and feeding the garbage
+// collector at the machine repetition rate.
 
 type svdScratch struct {
-	g    *Matrix   // m×m Gram matrix, destroyed by the eigensolver
-	v    *Matrix   // m×m eigenvectors
-	coef *Matrix   // m×m Σ⁻¹Uᵀ coefficients
+	z    *Matrix   // m×m Gram matrix, then its eigenvectors as rows
+	coef *Matrix   // k×m Σ⁻¹Uᵀ coefficients
 	vals []float64 // eigenvalues
+	e    []float64 // tridiagonal off-diagonal
 }
 
 var svdScratchPool = sync.Pool{

@@ -201,6 +201,15 @@ func svdSweepsParallel(w, v *Matrix) {
 	}
 }
 
+// rotatePlayers advances the round-robin schedule: index 0 is fixed,
+// the rest rotate one position.
+func rotatePlayers(players []int) {
+	np := len(players)
+	last := players[np-1]
+	copy(players[2:], players[1:np-1])
+	players[1] = last
+}
+
 // SVDGram computes the thin SVD of a short-and-wide m×d matrix
 // (m << d) through the m×m Gram matrix G = a*aᵀ: eigendecomposing G
 // gives U and Σ², and the right singular vectors follow from
@@ -221,10 +230,14 @@ func SVDGram(a *Matrix) (u *Matrix, s []float64, vt *Matrix) {
 
 // SVDGramTo is SVDGram without the left factor, writing into
 // caller-owned storage: sigma must have capacity >= m (it is resized
-// and returned), vt must be m×d. All internal workspace — the Gram
-// matrix, the eigensolver state, and the back-substitution
-// coefficients — comes from a process-wide pool, so steady-state calls
-// perform zero heap allocations. This is the FD rotation entry point.
+// and returned) and always receives all m singular values; vt must be
+// k×d with k <= m and receives only the top k right singular vectors.
+// Frequent Directions reads ℓ of its 2ℓ directions, so asking for k = ℓ
+// halves the Σ⁻¹Uᵀa projection, the widest product of the rotation.
+// All internal workspace — the Gram matrix, the eigensolver state, and
+// the back-substitution coefficients — comes from a process-wide pool,
+// so steady-state calls perform zero heap allocations. This is the FD
+// rotation entry point.
 func SVDGramTo(a *Matrix, sigma []float64, vt *Matrix) []float64 {
 	m := a.RowsN
 	if cap(sigma) < m {
@@ -235,21 +248,24 @@ func SVDGramTo(a *Matrix, sigma []float64, vt *Matrix) []float64 {
 	return sigma
 }
 
-// svdGramCore runs the Gram-trick SVD: s and vt are caller storage,
-// u is filled with the left singular vectors when non-nil.
+// svdGramCore runs the Gram-trick SVD: s (m entries) and vt (k×d,
+// k <= m) are caller storage, u is filled with all m left singular
+// vectors when non-nil.
 func svdGramCore(a *Matrix, s []float64, vt *Matrix, u *Matrix) {
 	start := time.Now()
 	m, d := a.Dims()
-	if vt.RowsN != m || vt.ColsN != d {
+	k := vt.RowsN
+	if k > m || vt.ColsN != d {
 		panic("mat: SVDGram vt shape mismatch")
 	}
 	sc := grabSVDScratch()
-	sc.g = ensureMat(sc.g, m, m)
-	GramTo(sc.g, a)
-	sc.v = ensureMat(sc.v, m, m)
+	// The eigensolver overwrites the Gram matrix with its eigenvectors,
+	// one per row (z = Uᵀ).
+	sc.z = ensureMat(sc.z, m, m)
+	GramTo(sc.z, a)
 	sc.vals = ensureFloats(sc.vals, m)
-	// The eigensolver destroys its input; g is not needed afterwards.
-	eigSymInto(sc.g, sc.v, sc.vals)
+	sc.e = ensureFloats(sc.e, m)
+	eigSymInto(sc.z, sc.vals, sc.e)
 
 	var maxVal float64
 	if m > 0 && sc.vals[0] > 0 {
@@ -261,28 +277,32 @@ func svdGramCore(a *Matrix, s []float64, vt *Matrix, u *Matrix) {
 		}
 		s[i] = math.Sqrt(v)
 	}
-	// vt = Σ⁻¹ Uᵀ a as one blocked product: build the m×m coefficient
-	// matrix C with C[i,k] = U[k,i]/σᵢ (zero rows for numerically zero
-	// σᵢ) and multiply. MulTo zeroes vt, so the sub-tolerance rows come
-	// out as the documented zero rows.
-	sc.coef = ensureMat(sc.coef, m, m)
+	// vt = Σ⁻¹ Uᵀ a over the top k directions as one blocked product:
+	// coefficient row i is row i of z scaled by 1/σᵢ (zero for
+	// numerically zero σᵢ). MulTo zeroes vt, so the sub-tolerance rows
+	// come out as the documented zero rows.
+	sc.coef = ensureMat(sc.coef, k, m)
 	tol := 1e-14 * math.Sqrt(maxVal)
-	for i := 0; i < m; i++ {
+	for i := 0; i < k; i++ {
 		row := sc.coef.Row(i)
 		if s[i] <= tol {
-			for k := range row {
-				row[k] = 0
+			for j := range row {
+				row[j] = 0
 			}
 			continue
 		}
 		inv := 1 / s[i]
-		for k := 0; k < m; k++ {
-			row[k] = sc.v.At(k, i) * inv
+		for j, x := range sc.z.Row(i) {
+			row[j] = x * inv
 		}
 	}
 	MulTo(vt, sc.coef, a)
 	if u != nil {
-		u.CopyFrom(sc.v)
+		for i := 0; i < m; i++ {
+			for j, x := range sc.z.Row(i) {
+				u.Set(j, i, x)
+			}
+		}
 	}
 	releaseSVDScratch(sc)
 	observeSince(obsKernelSVDG, start)

@@ -72,6 +72,10 @@ type FrequentDirections struct {
 	// about is never needed.
 	lastSigma []float64
 	lastVt    *mat.Matrix
+	// lastDelta is the shrinkage the last rotation subtracted from
+	// lastSigma² (zero for a Basis-time decomposition, which does not
+	// shrink), so Basis can count the directions the sketch still holds.
+	lastDelta float64
 	// dirty records that the buffer changed (Append/Grow/Merge) after
 	// lastSigma/lastVt were computed, so Basis must re-decompose
 	// instead of serving the stale factors.
@@ -149,8 +153,10 @@ func (fd *FrequentDirections) rotate() {
 	default:
 		// Pooled Gram-trick path: sigma and vt live in fd-owned storage
 		// reused across rotations, so the steady-state shrink performs
-		// zero heap allocations.
-		vt = fd.ensureVtBuf(filled.RowsN)
+		// zero heap allocations. Only the ℓ directions the shrink keeps
+		// are projected out; sigma still carries the full spectrum for
+		// σ_ℓ.
+		vt = fd.ensureVtBuf(min(fd.ell, filled.RowsN))
 		sigma = mat.SVDGramTo(filled, fd.lastSigma[:0], vt)
 	}
 
@@ -177,6 +183,7 @@ func (fd *FrequentDirections) rotate() {
 	fd.rotations++
 	fd.lastSigma = sigma
 	fd.lastVt = vt
+	fd.lastDelta = delta
 	// The rewritten buffer is √(Σ²−δI)·Vᵀ, whose right singular vectors
 	// are exactly the rows of vt we just computed — the factors are
 	// current again.
@@ -290,19 +297,23 @@ func (fd *FrequentDirections) Basis(k int) *mat.Matrix {
 		vt := fd.ensureVtBuf(filled.RowsN)
 		fd.lastSigma = mat.SVDGramTo(filled, fd.lastSigma[:0], vt)
 		fd.lastVt = vt
+		fd.lastDelta = 0
 		fd.dirty = false
 	}
+	// Count the rank on the post-shrink spectrum σᵢ² − δ the sketch
+	// actually holds, over the rows of Vᵀ that exist: the pre-shrink
+	// spectrum also counts σ_ℓ and its ties, which the shrink zeroed.
+	// The Gram-trick SVD squares the condition number, so roundoff noise
+	// sits near 1e-8·σmax; anything below 1e-6·σmax is numerically zero
+	// for basis purposes.
 	rank := 0
-	var sMax float64
+	var tol float64
 	if len(fd.lastSigma) > 0 {
-		sMax = fd.lastSigma[0]
+		tol = 1e-6 * fd.lastSigma[0]
 	}
-	for _, s := range fd.lastSigma {
-		// The Gram-trick SVD squares the condition number, so roundoff
-		// noise sits near 1e-8·σmax; anything below 1e-6·σmax is
-		// numerically zero for basis purposes.
-		if s > 1e-6*sMax && s > 0 {
-			rank++
+	for ; rank < fd.ell && rank < fd.lastVt.RowsN; rank++ {
+		if s := fd.lastSigma[rank]; s*s-fd.lastDelta <= tol*tol {
+			break // descending spectrum: the rest are gone too
 		}
 	}
 	if k > rank {

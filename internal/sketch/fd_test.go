@@ -351,3 +351,55 @@ func TestBasisReflectsMergeBetweenCalls(t *testing.T) {
 		t.Fatalf("basis ignores merged rows: |component on feature 7| = %v", got)
 	}
 }
+
+// nonzeroRows counts the rows of b with any nonzero entry.
+func nonzeroRows(b *mat.Matrix) int {
+	n := 0
+	for i := 0; i < b.RowsN; i++ {
+		if mat.Norm2Sq(b.Row(i)) > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+func TestBasisCountsPostShrinkRank(t *testing.T) {
+	// Regression test: the rank used to be counted on the pre-shrink
+	// spectrum, so after ℓ = 4, 9 Gaussian rows (one rotation, then a
+	// Compact-time rotation of 5 rows) Basis(8) returned 5 directions
+	// while the sketch holds 4 — the fifth was σ_ℓ, which the shrink
+	// subtracts to zero.
+	for _, backend := range []SVDBackend{GramSVD, JacobiSVD} {
+		fd := NewFrequentDirections(4, 50, Options{Backend: backend})
+		fd.AppendMatrix(gaussData(9, 50, 41))
+		b := fd.Sketch()
+		basis := fd.Basis(8)
+		if want := nonzeroRows(b); basis.RowsN != want || want != 4 {
+			t.Fatalf("backend %d: Basis(8) has %d rows, sketch holds %d nonzero rows (want 4)", backend, basis.RowsN, want)
+		}
+		// Every basis direction must carry sketch energy.
+		for i := 0; i < basis.RowsN; i++ {
+			if e := mat.Norm2(mat.MulVec(b, basis.Row(i))); e <= 1e-6*b.FrobeniusNorm() {
+				t.Fatalf("backend %d: basis row %d is outside the sketch (‖B·v‖ = %g)", backend, i, e)
+			}
+		}
+	}
+}
+
+func TestBasisDropsDirectionsTiedWithSigmaEll(t *testing.T) {
+	// Three orthogonal rows of equal norm with ℓ = 2: the compacting
+	// rotation subtracts δ = σ₂² = σ₀², so the sketch is empty and Basis
+	// must not report directions it no longer holds.
+	fd := NewFrequentDirections(2, 5, Options{})
+	for i := 0; i < 3; i++ {
+		row := make([]float64, 5)
+		row[i] = 3
+		fd.Append(row)
+	}
+	if n := nonzeroRows(fd.Sketch()); n != 0 {
+		t.Fatalf("sketch holds %d nonzero rows, want 0", n)
+	}
+	if basis := fd.Basis(2); basis.RowsN != 0 {
+		t.Fatalf("Basis(2) has %d rows for an empty sketch", basis.RowsN)
+	}
+}

@@ -4,7 +4,8 @@
 # Compiles internal/mat with the ssa/check_bce debug flag and fails if
 # the compiler reports any per-element IsInBounds check inside
 # internal/mat/inner.go, the file holding the multiply-add inner loops
-# of the tiled Gram / MulABt / MulTo kernels.
+# of the tiled Gram / MulABt / MulTo kernels and of the symmetric
+# eigensolver (Householder updates, back-accumulation, QL rotations).
 #
 # Per-call IsSliceInBounds findings (the `b = b[:n]` hoists at the top
 # of dot2x2/dot1x2) are allowed: hoisting the check out of the element
